@@ -6,7 +6,8 @@
 // hybrid frontiers; DESIGN.md §8-§9).
 //
 // Output: the usual google-benchmark console table, plus a JSON trajectory
-// point written to $GA_BENCH_OUT (default BENCH_PR4.json). Each kernel
+// point written to $GA_BENCH_OUT when it is set (no file otherwise, so a
+// stray run cannot overwrite a committed trajectory point). Each kernel
 // entry reports ns per full kernel run, supersteps per run, ns per
 // superstep, and sweep throughput in adjacency entries per second (the
 // per-superstep edge-traversal rate; meaningful for the full-sweep PR and
@@ -256,6 +257,7 @@ int main(int argc, char** argv) {
   ga::bench::CollectingReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   const char* out = std::getenv("GA_BENCH_OUT");
-  return ga::bench::WriteJson(out != nullptr ? out : "BENCH_PR4.json",
-                              ga::bench::BenchGraph(), reporter.samples());
+  if (out == nullptr || *out == '\0') return 0;
+  return ga::bench::WriteJson(out, ga::bench::BenchGraph(),
+                              reporter.samples());
 }

@@ -13,6 +13,7 @@
 // parallel_reduce(ctx, begin, end, id, m, r) per-slot map + ordered reduce
 // parallel_sort(ctx, &items, less)           chunk sort + stable merge tree
 // SlotBuffers<T>                             per-slot appends, ordered drain
+//                                            or stable group-by-key drain
 #ifndef GRAPHALYTICS_CORE_EXEC_EXEC_H_
 #define GRAPHALYTICS_CORE_EXEC_EXEC_H_
 
@@ -226,6 +227,31 @@ class SlotBuffers {
     out->reserve(out->size() + TotalSize());
     for (const auto& buffer : per_slot_) {
       out->insert(out->end(), buffer.begin(), buffer.end());
+    }
+  }
+
+  /// Replaces `out` with all elements grouped by ascending `key(item)`, a
+  /// key in [0, num_keys); each group keeps slot order (== serial
+  /// emission order). A counting sort: O(size + num_keys), serial.
+  /// `offsets` is caller-pooled scratch of num_keys + 1 entries.
+  template <typename KeyFn>
+  void GroupInto(std::size_t num_keys, KeyFn&& key,
+                 std::vector<std::size_t>* offsets,
+                 std::vector<T>* out) const {
+    offsets->assign(num_keys + 1, 0);
+    for (const auto& buffer : per_slot_) {
+      for (const T& item : buffer) {
+        ++(*offsets)[static_cast<std::size_t>(key(item)) + 1];
+      }
+    }
+    for (std::size_t k = 0; k < num_keys; ++k) {
+      (*offsets)[k + 1] += (*offsets)[k];
+    }
+    out->resize(offsets->back());
+    for (const auto& buffer : per_slot_) {
+      for (const T& item : buffer) {
+        (*out)[(*offsets)[static_cast<std::size_t>(key(item))]++] = item;
+      }
     }
   }
 

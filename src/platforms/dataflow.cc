@@ -30,7 +30,7 @@ struct MessageRow {
   double value;
 };
 
-// The dataflow runtime: tracks row processing, shuffles (real sorts),
+// The dataflow runtime: tracks row processing, shuffles (real groupings),
 // memory for double-buffered shuffle files, and cross-machine bytes.
 class DataflowRuntime {
  public:
@@ -55,44 +55,20 @@ class DataflowRuntime {
     ctx_.ledger().rows_materialized += rows;
   }
 
-  // Real shuffle: sorts messages by destination and charges comparison
-  // costs plus cross-machine traffic (a row moves when the destination
-  // vertex's machine differs from the source's hash partition).
-  void Shuffle(std::vector<MessageRow>* messages,
+  // Real shuffle: groups this superstep's emitted rows by destination
+  // vertex into `messages` with a stable counting scatter (each group in
+  // emission order; scratch pooled across iterations), and charges the
+  // modeled sort's comparison cost plus cross-machine traffic (a row
+  // moves when the destination vertex's machine differs from the
+  // source's hash partition).
+  void Shuffle(const exec::SlotBuffers<MessageRow>& emitted,
+               std::vector<MessageRow>* messages,
                std::int64_t row_bytes = kRowBytes) {
-    if (messages->empty()) return;
-    ChargeShuffle(messages->size(), row_bytes);
-    std::sort(messages->begin(), messages->end(),
-              [](const MessageRow& a, const MessageRow& b) {
-                return a.dst < b.dst;
-              });
-  }
-
-  // Shuffle variant for order-insensitive groupings (CDLP's mode counts a
-  // multiset): a stable bucket scatter by destination, O(rows + n)
-  // instead of a comparison sort. Simulated charges are identical to
-  // Shuffle's — only the host-side grouping mechanism is cheaper; the
-  // within-group row order differs, which a counting aggregation cannot
-  // observe. Scatter scratch is pooled across iterations.
-  void ShuffleByDestination(std::vector<MessageRow>* messages,
-                            VertexIndex num_vertices,
-                            std::int64_t row_bytes) {
-    if (messages->empty()) return;
-    ChargeShuffle(messages->size(), row_bytes);
-    dst_offsets_.assign(static_cast<std::size_t>(num_vertices) + 1, 0);
-    for (const MessageRow& row : *messages) {
-      ++dst_offsets_[static_cast<std::size_t>(row.dst) + 1];
-    }
-    for (VertexIndex v = 0; v < num_vertices; ++v) {
-      dst_offsets_[static_cast<std::size_t>(v) + 1] +=
-          dst_offsets_[static_cast<std::size_t>(v)];
-    }
-    shuffle_scratch_.resize(messages->size());
-    for (const MessageRow& row : *messages) {
-      shuffle_scratch_[static_cast<std::size_t>(
-          dst_offsets_[static_cast<std::size_t>(row.dst)]++)] = row;
-    }
-    messages->swap(shuffle_scratch_);
+    ChargeShuffle(emitted.TotalSize(), row_bytes);
+    emitted.GroupInto(
+        static_cast<std::size_t>(graph_.num_vertices()),
+        [](const MessageRow& row) { return row.dst; }, &dst_offsets_,
+        messages);
   }
 
  private:
@@ -155,8 +131,7 @@ class DataflowRuntime {
   WorkerMap workers_;
   std::int64_t charged_per_machine_ = 0;
   bool charged_ = false;
-  std::vector<EdgeIndex> dst_offsets_;      // bucket-scatter prefix sums
-  std::vector<MessageRow> shuffle_scratch_;  // bucket-scatter target
+  std::vector<std::size_t> dst_offsets_;  // shuffle scatter offsets
 };
 
 // GraphX-Pregel skeleton over double-valued vertex state.
@@ -198,9 +173,8 @@ Status RunGraphxPregel(JobContext& ctx, const Graph& graph,
 
     // Triplet phase: the FULL edge table is scanned (GraphX cannot skip
     // inactive triplets without a full pass). The scan runs host-parallel
-    // over edge slices; per-slot outputs concatenated in slot order
-    // reproduce the serial emission sequence exactly.
-    messages.clear();
+    // over edge slices; the shuffle drains per-slot outputs in slot
+    // order, which reproduces the serial emission sequence exactly.
     std::span<const Edge> edges = graph.edges();
     emitted.Reset(exec::ExecContext::NumSlots(
         static_cast<std::int64_t>(edges.size())));
@@ -224,9 +198,8 @@ Status RunGraphxPregel(JobContext& ctx, const Graph& graph,
             }
           }
         });
-    emitted.MergeInto(&messages);
     runtime.ChargeRows(graph.edges().size() * 2, row_op_factor);
-    runtime.Shuffle(&messages, row_bytes);
+    runtime.Shuffle(emitted, &messages, row_bytes);
 
     // Reduce by key + join: produces a brand-new vertex table. The
     // retained shuffle buffers hold the post-combine rows (one per
@@ -367,7 +340,6 @@ Result<AlgorithmOutput> RunPageRank(JobContext& ctx, const Graph& graph,
   std::vector<double> dangling_scratch;
 
   for (int iteration = 0; iteration < iterations; ++iteration) {
-    messages.clear();
     const double dangling = exec::parallel_reduce(
         ctx.exec(), 0, n, 0.0,
         [&](const exec::Slice& slice, double& acc) {
@@ -398,15 +370,14 @@ Result<AlgorithmOutput> RunPageRank(JobContext& ctx, const Graph& graph,
             }
           }
         });
-    emitted.MergeInto(&messages);
     runtime.ChargeRows(graph.edges().size() * 2);
     // PageRank scatters along every edge, and GraphX materialises the
     // rank-joined triplet messages *before* the reduce can shrink them —
     // the per-iteration buffer holds the raw message multiset. This is
     // why PR needs 4 machines on D1000 where BFS needs only 2 (§4.4).
     GA_RETURN_IF_ERROR(runtime.ChargeIterationBuffers(
-        messages.size() + static_cast<std::uint64_t>(n), kRowBytes));
-    runtime.Shuffle(&messages);
+        emitted.TotalSize() + static_cast<std::uint64_t>(n), kRowBytes));
+    runtime.Shuffle(emitted, &messages);
 
     const double base = (1.0 - damping) / static_cast<double>(n) +
                         damping * dangling / static_cast<double>(n);
@@ -448,7 +419,6 @@ Result<AlgorithmOutput> RunCdlp(JobContext& ctx, const Graph& graph,
   std::vector<std::int64_t> next;
 
   for (int iteration = 0; iteration < iterations; ++iteration) {
-    messages.clear();
     std::span<const Edge> edges = graph.edges();
     emitted.Reset(exec::ExecContext::NumSlots(
         static_cast<std::int64_t>(edges.size())));
@@ -468,14 +438,13 @@ Result<AlgorithmOutput> RunCdlp(JobContext& ctx, const Graph& graph,
                                output.int_values[edge.target])});
           }
         });
-    emitted.MergeInto(&messages);
     // groupByKey: no map-side combine exists for the mode aggregation, so
     // the full label multiset is shuffled and grouped (the reason GraphX
     // cannot complete CDLP in the paper, §4.2).
     runtime.ChargeRows(graph.edges().size() * 2, 4.0);
     GA_RETURN_IF_ERROR(
-        runtime.ChargeIterationBuffers(messages.size() + n, kCdlpRowBytes));
-    runtime.ShuffleByDestination(&messages, n, kCdlpRowBytes);
+        runtime.ChargeIterationBuffers(emitted.TotalSize() + n, kCdlpRowBytes));
+    runtime.Shuffle(emitted, &messages, kCdlpRowBytes);
 
     next.assign(output.int_values.begin(), output.int_values.end());
     std::size_t i = 0;

@@ -32,6 +32,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <limits>
 
 namespace ga::telemetry {
 
@@ -129,11 +130,16 @@ class Histogram {
     return static_cast<std::int64_t>(kSub + sub) << shift;
   }
 
-  /// Exclusive upper bound of a bucket's value range.
+  /// Exclusive upper bound of a bucket's value range. The top bucket's
+  /// bound, 2^63, does not fit and saturates to INT64_MAX, so that
+  /// bucket's largest value sits on its bound.
   static std::int64_t BucketUpperBound(int bucket) {
     if (bucket < kSub) return bucket + 1;
     const int shift = (bucket - kSub) / kSub;
-    return BucketLowerBound(bucket) + (std::int64_t{1} << shift);
+    const std::int64_t lower = BucketLowerBound(bucket);
+    const std::int64_t width = std::int64_t{1} << shift;
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    return lower > kMax - width ? kMax : lower + width;
   }
 
   /// Wait-free: three relaxed fetch_adds (bucket, count, sum).

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -175,6 +176,52 @@ TEST(SlotBuffersTest, DrainReplaysSerialEmissionOrder) {
   std::vector<std::int64_t> expected;
   for (std::int64_t i = 0; i < kRange; i += 3) expected.push_back(i);
   EXPECT_EQ(drained, expected);
+}
+
+// GroupInto is a stable counting sort: groups come out in ascending key
+// order, and rows within a group keep slot (== serial emission) order.
+TEST(SlotBuffersTest, GroupIntoIsStableByKeyInSlotOrder) {
+  struct Row {
+    std::int64_t key;
+    std::int64_t seq;
+  };
+  constexpr std::int64_t kRange = 5000;
+  constexpr std::int64_t kKeys = 37;
+  auto key_of = [](std::int64_t i) { return (i * 7919) % kKeys; };
+  std::vector<Row> expected;
+  for (std::int64_t i = 0; i < kRange; ++i) {
+    if (i % 5 != 4) expected.push_back({key_of(i), i});
+  }
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const Row& a, const Row& b) { return a.key < b.key; });
+  for (int threads : {1, 2, 8}) {
+    ThreadPool pool(threads);
+    ExecContext ctx(&pool);
+    SlotBuffers<Row> buffers;
+    buffers.Reset(ExecContext::NumSlots(kRange));
+    parallel_for(ctx, 0, kRange, [&](const Slice& slice) {
+      for (std::int64_t i = slice.begin; i < slice.end; ++i) {
+        if (i % 5 != 4) buffers.buf(slice.slot).push_back({key_of(i), i});
+      }
+    });
+    std::vector<std::size_t> offsets;
+    std::vector<Row> grouped = {{-1, -1}};  // stale contents are replaced
+    buffers.GroupInto(
+        kKeys, [](const Row& row) { return row.key; }, &offsets, &grouped);
+    ASSERT_EQ(grouped.size(), expected.size()) << threads << " threads";
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(grouped[i].key, expected[i].key) << i;
+      ASSERT_EQ(grouped[i].seq, expected[i].seq) << i;
+    }
+  }
+  // No rows: an empty result, whatever `out` held before.
+  SlotBuffers<Row> empty;
+  empty.Reset(3);
+  std::vector<std::size_t> offsets;
+  std::vector<Row> grouped = {{0, 0}};
+  empty.GroupInto(
+      kKeys, [](const Row& row) { return row.key; }, &offsets, &grouped);
+  EXPECT_TRUE(grouped.empty());
 }
 
 // Equal keys must keep the same (deterministic) permutation at any thread

@@ -1,0 +1,147 @@
+// Output contract of the dataflow engine's shuffle. The shuffle groups
+// each superstep's message rows by destination with a stable counting
+// scatter. BFS, SSSP and WCC merge a group with `min` and CDLP counts its
+// votes, so their outputs do not depend on the order rows take within a
+// group. The golden FNV-1a fingerprints below were recorded when the
+// shuffle was still a comparison sort; any shuffle must reproduce them
+// byte for byte. PageRank sums each group in emission order, so its
+// output is pinned by validation and host-thread invariance instead.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <string>
+
+#include "algo/output.h"
+#include "algo/reference.h"
+#include "core/exec/thread_pool.h"
+#include "datagen/graph500.h"
+#include "platforms/platform.h"
+#include "store/snapshot.h"
+
+namespace ga::platform {
+namespace {
+
+Graph FixtureGraph(Directedness directedness, bool weighted,
+                   std::uint64_t seed) {
+  datagen::Graph500Config config;
+  config.scale = 9;
+  config.num_edges = 3000;
+  config.directedness = directedness;
+  config.weighted = weighted;
+  config.seed = seed;
+  auto graph = datagen::GenerateGraph500(config);
+  if (!graph.ok()) std::abort();
+  return std::move(graph).value();
+}
+
+const Graph& DirectedGraph() {
+  static const Graph graph =
+      FixtureGraph(Directedness::kDirected, /*weighted=*/false, 21);
+  return graph;
+}
+
+const Graph& UndirectedGraph() {
+  static const Graph graph =
+      FixtureGraph(Directedness::kUndirected, /*weighted=*/false, 22);
+  return graph;
+}
+
+const Graph& WeightedGraph() {
+  static const Graph graph =
+      FixtureGraph(Directedness::kDirected, /*weighted=*/true, 23);
+  return graph;
+}
+
+ExecutionEnvironment Environment(exec::ThreadPool* pool) {
+  ExecutionEnvironment env;
+  env.num_machines = 2;
+  env.threads_per_machine = 8;
+  env.memory_budget_bytes = 1LL << 30;
+  env.host_pool = pool;
+  return env;
+}
+
+RunResult RunDataflow(const Graph& graph, Algorithm algorithm,
+                      exec::ThreadPool* pool = nullptr) {
+  auto platform = CreatePlatform("dataflow");
+  if (!platform.ok()) std::abort();
+  AlgorithmParams params;
+  params.source_vertex = graph.ExternalId(0);
+  auto run = platform.value()->RunJob(graph, algorithm, params,
+                                      Environment(pool));
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
+  if (!run.ok()) std::abort();
+  return std::move(run).value();
+}
+
+std::string Fingerprint(const Graph& graph, const AlgorithmOutput& output) {
+  const std::string text = FormatOutput(graph, output);
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(
+                    store::Fnv1a64(text.data(), text.size())));
+  return hex;
+}
+
+struct Golden {
+  const char* graph;
+  Algorithm algorithm;
+  const char* fnv;
+};
+
+// Recorded with the comparison-sort shuffle.
+constexpr Golden kGolden[] = {
+    {"directed", Algorithm::kBfs, "65885781a7d6bdc0"},
+    {"directed", Algorithm::kWcc, "cef576d2383bf01d"},
+    {"directed", Algorithm::kCdlp, "826f6c8375a5375e"},
+    {"undirected", Algorithm::kBfs, "e7aaf726b91354a8"},
+    {"undirected", Algorithm::kWcc, "f28121bc73791fc8"},
+    {"undirected", Algorithm::kCdlp, "193a649305239278"},
+    {"weighted", Algorithm::kBfs, "467d3ca0346e036a"},
+    {"weighted", Algorithm::kSssp, "383f205fccb1fa35"},
+    {"weighted", Algorithm::kWcc, "378cc365aef8a95b"},
+    {"weighted", Algorithm::kCdlp, "7ae09cab1890e5e2"},
+};
+
+const Graph& GraphNamed(const std::string& name) {
+  if (name == "directed") return DirectedGraph();
+  if (name == "undirected") return UndirectedGraph();
+  return WeightedGraph();
+}
+
+TEST(DataflowShuffleTest, OrderInsensitiveOutputsMatchGoldenFingerprints) {
+  for (const Golden& golden : kGolden) {
+    const Graph& graph = GraphNamed(golden.graph);
+    const RunResult run = RunDataflow(graph, golden.algorithm);
+    EXPECT_EQ(Fingerprint(graph, run.output), golden.fnv)
+        << golden.graph << "/" << AlgorithmName(golden.algorithm);
+  }
+}
+
+TEST(DataflowShuffleTest, PageRankValidatesAndIsHostThreadInvariant) {
+  for (const Graph* graph :
+       {&DirectedGraph(), &UndirectedGraph(), &WeightedGraph()}) {
+    const RunResult serial = RunDataflow(*graph, Algorithm::kPageRank);
+    AlgorithmParams params;
+    auto reference = reference::Run(*graph, Algorithm::kPageRank, params);
+    ASSERT_TRUE(reference.ok());
+    EXPECT_TRUE(ValidateOutput(*graph, *reference, serial.output).ok());
+    for (int host_threads : {1, 2, 8}) {
+      exec::ThreadPool pool(host_threads);
+      const RunResult run = RunDataflow(*graph, Algorithm::kPageRank, &pool);
+      ASSERT_EQ(run.output.double_values.size(),
+                serial.output.double_values.size());
+      EXPECT_EQ(std::memcmp(run.output.double_values.data(),
+                            serial.output.double_values.data(),
+                            serial.output.double_values.size() *
+                                sizeof(double)),
+                0)
+          << host_threads << " host threads";
+    }
+  }
+}
+
+}  // namespace
+}  // namespace ga::platform

@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -38,6 +40,20 @@ TEST(HistogramTest, BucketBoundsContainTheirValues) {
     EXPECT_EQ(Histogram::BucketUpperBound(b),
               Histogram::BucketLowerBound(b + 1));
   }
+}
+
+TEST(HistogramTest, TopBucketUpperBoundSaturates) {
+  // The top bucket's exclusive bound would be 2^63, one past INT64_MAX;
+  // it saturates instead of overflowing, and still covers INT64_MAX.
+  constexpr int kTop = Histogram::kNumBuckets - 1;
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(Histogram::BucketOf(kMax), kTop);
+  EXPECT_EQ(Histogram::BucketUpperBound(kTop), kMax);
+  EXPECT_GT(Histogram::BucketUpperBound(kTop),
+            Histogram::BucketLowerBound(kTop));
+  Histogram histogram;
+  histogram.Record(kMax);
+  EXPECT_EQ(histogram.Take().Quantile(1.0), static_cast<double>(kMax));
 }
 
 TEST(HistogramTest, RelativeBucketWidthIsBounded) {
