@@ -5,7 +5,8 @@
 
 namespace ga::reference {
 
-Result<AlgorithmOutput> Cdlp(const Graph& graph, int iterations) {
+Result<AlgorithmOutput> Cdlp(const Graph& graph, int iterations,
+                             exec::ThreadPool* pool) {
   if (iterations < 0) {
     return Status::InvalidArgument("CDLP iterations must be >= 0");
   }
@@ -18,26 +19,32 @@ Result<AlgorithmOutput> Cdlp(const Graph& graph, int iterations) {
   }
 
   std::vector<std::int64_t> next(n);
-  // Reusable sorted-scan label counter: mode with smallest-label
-  // tie-break, identical to the hash histogram it replaces but without
-  // per-vertex node allocations (reset, not reallocated).
-  exec::LabelCounter votes;
+  // One reusable label counter per slot: mode with smallest-label
+  // tie-break, without per-vertex allocations (reset, not reallocated).
+  // Each vertex's new label depends only on the previous iteration's
+  // labels, so the sweep is the same at any host thread count.
+  exec::ExecContext ctx(pool);
+  exec::ScratchPool scratch;
+  scratch.Prepare(exec::ExecContext::NumSlots(n));
   for (int iteration = 0; iteration < iterations; ++iteration) {
-    for (VertexIndex v = 0; v < n; ++v) {
-      votes.Clear();
-      // Directed graphs: in- and out-neighbours each contribute one vote
-      // (a reciprocal pair therefore votes twice). Undirected graphs:
-      // InNeighbors aliases OutNeighbors, so count only one side.
-      for (VertexIndex u : graph.OutNeighbors(v)) {
-        votes.Add(output.int_values[u]);
-      }
-      if (graph.is_directed()) {
-        for (VertexIndex u : graph.InNeighbors(v)) {
+    exec::parallel_for(ctx, 0, n, [&](const exec::Slice& slice) {
+      for (VertexIndex v = slice.begin; v < slice.end; ++v) {
+        exec::LabelCounter& votes = scratch.labels(slice.slot);
+        // Directed graphs: in- and out-neighbours each contribute one
+        // vote (a reciprocal pair therefore votes twice). Undirected
+        // graphs: InNeighbors aliases OutNeighbors, so count only one
+        // side.
+        for (VertexIndex u : graph.OutNeighbors(v)) {
           votes.Add(output.int_values[u]);
         }
+        if (graph.is_directed()) {
+          for (VertexIndex u : graph.InNeighbors(v)) {
+            votes.Add(output.int_values[u]);
+          }
+        }
+        next[v] = votes.empty() ? output.int_values[v] : votes.Mode();
       }
-      next[v] = votes.empty() ? output.int_values[v] : votes.Mode();
-    }
+    });
     output.int_values.swap(next);
   }
   return output;

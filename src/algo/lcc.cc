@@ -6,7 +6,7 @@
 
 namespace ga::reference {
 
-Result<AlgorithmOutput> Lcc(const Graph& graph) {
+Result<AlgorithmOutput> Lcc(const Graph& graph, exec::ThreadPool* pool) {
   const VertexIndex n = graph.num_vertices();
   AlgorithmOutput output;
   output.algorithm = Algorithm::kLcc;
@@ -17,12 +17,13 @@ Result<AlgorithmOutput> Lcc(const Graph& graph) {
   // lowest-rank corner and contributes its opposite edge's directed
   // multiplicity to every corner's links counter. For undirected graphs
   // each triangle edge is counted in both directions, matching the
-  // undirected denominator convention d*(d-1).
-  exec::ExecContext serial;
+  // undirected denominator convention d*(d-1). The kernel's integer
+  // accumulators make its result the same at any host thread count.
+  exec::ExecContext ctx(pool);
   lcc::NeighborhoodIndex index;
-  index.Build(serial, graph);
+  index.Build(ctx, graph);
   std::vector<std::int64_t> links;
-  index.CountLinks(serial, &links);
+  index.CountLinks(ctx, &links);
   for (VertexIndex v = 0; v < n; ++v) {
     output.double_values[v] = lcc::Coefficient(links[v], index.Degree(v));
   }

@@ -1,7 +1,9 @@
-// Reference (serial, exact) implementations of the six Graphalytics core
+// Reference (exact) implementations of the six Graphalytics core
 // algorithms (Section 2.2.3 of the paper). These define ground truth for
 // validating the platform analogues, exactly as the paper's reference
-// implementations define correctness for the real platforms.
+// implementations define correctness for the real platforms. All but
+// SSSP (Dijkstra, serial) can run their main loops on a host pool; their
+// outputs are identical at any thread count.
 #ifndef GRAPHALYTICS_ALGO_REFERENCE_H_
 #define GRAPHALYTICS_ALGO_REFERENCE_H_
 
@@ -18,9 +20,10 @@
 
 namespace ga::reference {
 
-// The frontier/sweep-parallel references (BFS, PageRank's pull sweep,
-// WCC's labelling pass) run their main loops through ga::exec; `pool` is
-// optional host parallelism — outputs are identical at any thread count.
+// The parallel references run their main loops through ga::exec: BFS's
+// frontier, PageRank's pull sweep, WCC's labelling pass, CDLP's
+// per-vertex vote and LCC's triangle kernel. `pool` is optional host
+// parallelism; outputs are identical at any thread count and without one.
 //
 // References share the deep-tracing API with the platform engines
 // (docs/OBSERVABILITY.md): pass an enabled granula::Tracer plus a parent
@@ -52,13 +55,15 @@ Result<AlgorithmOutput> Wcc(const Graph& graph,
 /// label is the most frequent label among in- and out-neighbours (each
 /// direction contributes separately), ties broken towards the smallest
 /// label. Initial label = external vertex id.
-Result<AlgorithmOutput> Cdlp(const Graph& graph, int iterations);
+Result<AlgorithmOutput> Cdlp(const Graph& graph, int iterations,
+                             exec::ThreadPool* pool = nullptr);
 
 /// Local clustering coefficient: for each vertex, the ratio of the number
 /// of directed edges that exist between its neighbours (union of in- and
 /// out-neighbours) to the number that could exist, d*(d-1). Vertices with
 /// fewer than two neighbours score 0.
-Result<AlgorithmOutput> Lcc(const Graph& graph);
+Result<AlgorithmOutput> Lcc(const Graph& graph,
+                            exec::ThreadPool* pool = nullptr);
 
 /// Single-source shortest paths over double edge weights (Dijkstra).
 /// Requires a weighted graph; kUnreachableDistance if unreachable.

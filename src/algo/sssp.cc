@@ -52,9 +52,9 @@ Result<AlgorithmOutput> Run(const Graph& graph, Algorithm algorithm,
     case Algorithm::kWcc:
       return Wcc(graph, pool);
     case Algorithm::kCdlp:
-      return Cdlp(graph, params.cdlp_iterations);
+      return Cdlp(graph, params.cdlp_iterations, pool);
     case Algorithm::kLcc:
-      return Lcc(graph);
+      return Lcc(graph, pool);
     case Algorithm::kSssp:
       return Sssp(graph, params.source_vertex);
   }

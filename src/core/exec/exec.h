@@ -232,31 +232,146 @@ class SlotBuffers {
 
   /// Replaces `out` with all elements grouped by ascending `key(item)`, a
   /// key in [0, num_keys); each group keeps slot order (== serial
-  /// emission order). A counting sort: O(size + num_keys), serial.
-  /// `offsets` is caller-pooled scratch of num_keys + 1 entries.
+  /// emission order). `offsets` (caller-pooled) ends as a CSR of
+  /// num_keys + 1 entries: group k is (*out)[offsets[k], offsets[k + 1]).
+  ///
+  /// A counting sort, O(size + num_keys). Without a pool, or on one host
+  /// thread, it is one serial pass. On more threads it splits the keys
+  /// into contiguous ranges (a function of num_keys alone, at most
+  /// NumSlots(num_keys) of them), counts each source slot's rows per
+  /// range, scatters the rows into staging grouped by range in (range,
+  /// slot) order, and counting-sorts each range on its own. Both paths
+  /// produce the same grouping. The parallel phases go straight to the
+  /// pool: they add no loop to the counters or the fault hooks, so the
+  /// loop sequence is the same at any thread count. Their scratch is
+  /// pooled in this object.
   template <typename KeyFn>
-  void GroupInto(std::size_t num_keys, KeyFn&& key,
-                 std::vector<std::size_t>* offsets,
-                 std::vector<T>* out) const {
-    offsets->assign(num_keys + 1, 0);
-    for (const auto& buffer : per_slot_) {
-      for (const T& item : buffer) {
-        ++(*offsets)[static_cast<std::size_t>(key(item)) + 1];
-      }
-    }
-    for (std::size_t k = 0; k < num_keys; ++k) {
-      (*offsets)[k + 1] += (*offsets)[k];
-    }
-    out->resize(offsets->back());
-    for (const auto& buffer : per_slot_) {
-      for (const T& item : buffer) {
-        (*out)[(*offsets)[static_cast<std::size_t>(key(item))]++] = item;
-      }
+  void GroupInto(ExecContext& ctx, std::size_t num_keys, KeyFn&& key,
+                 std::vector<std::size_t>* offsets, std::vector<T>* out) {
+    const int max_ranges =
+        ExecContext::NumSlots(static_cast<std::int64_t>(num_keys));
+    if (ctx.pool() == nullptr || ctx.num_host_threads() == 1 ||
+        num_slots() <= 1 || max_ranges <= 1) {
+      GroupSerial(num_keys, key, offsets, out);
+    } else {
+      GroupParallel(*ctx.pool(), num_keys, max_ranges, key, offsets, out);
     }
   }
 
  private:
+  // Both paths fill the CSR the same way: count each key's rows at
+  // offsets[key], turn the counts into group ends, then place the rows
+  // back to front (`--offsets[key]`). That leaves offsets[k] at the start
+  // of group k, and each group in emission order.
+  template <typename KeyFn>
+  void GroupSerial(std::size_t num_keys, KeyFn& key,
+                   std::vector<std::size_t>* offsets,
+                   std::vector<T>* out) const {
+    offsets->assign(num_keys + 1, 0);
+    std::size_t* const off = offsets->data();
+    for (const auto& buffer : per_slot_) {
+      for (const T& item : buffer) ++off[static_cast<std::size_t>(key(item))];
+    }
+    std::size_t end = 0;
+    for (std::size_t k = 0; k < num_keys; ++k) off[k] = end += off[k];
+    off[num_keys] = end;
+    out->resize(end);
+    T* const rows = out->data();
+    for (auto buffer = per_slot_.rbegin(); buffer != per_slot_.rend();
+         ++buffer) {
+      for (auto item = buffer->rbegin(); item != buffer->rend(); ++item) {
+        rows[--off[static_cast<std::size_t>(key(*item))]] = *item;
+      }
+    }
+  }
+
+  template <typename KeyFn>
+  void GroupParallel(ThreadPool& pool, std::size_t num_keys, int max_ranges,
+                     KeyFn& key, std::vector<std::size_t>* offsets,
+                     std::vector<T>* out) {
+    // Ranges are 2^shift keys wide, the narrowest power of two that needs
+    // at most max_ranges of them, so a key's range is one shift away.
+    int shift = 0;
+    while (((num_keys - 1) >> shift) >=
+           static_cast<std::size_t>(max_ranges)) {
+      ++shift;
+    }
+    const int num_ranges = static_cast<int>(((num_keys - 1) >> shift) + 1);
+    const int slots = num_slots();
+    const auto range_of = [&](const T& item) {
+      return static_cast<std::size_t>(key(item)) >> shift;
+    };
+
+    // Rows per (source slot, range). Each slot counts into a local array,
+    // so slots share no cache line while they count.
+    range_cells_.resize(static_cast<std::size_t>(slots) * num_ranges);
+    const auto count = [&](std::int64_t slot) {
+      std::size_t local[ExecContext::kMaxSlots] = {};
+      for (const T& item : per_slot_[slot]) ++local[range_of(item)];
+      std::copy_n(local, num_ranges, range_cells_.begin() + slot * num_ranges);
+    };
+    pool.Execute(slots, [&count](std::int64_t slot) { count(slot); });
+
+    // Turn the counts into each cell's first staging position, in
+    // (range, slot) order; range_begin_[r] is where range r starts.
+    range_begin_.resize(num_ranges + 1);
+    std::size_t position = 0;
+    for (int range = 0; range < num_ranges; ++range) {
+      range_begin_[range] = position;
+      for (int slot = 0; slot < slots; ++slot) {
+        std::size_t& cell = range_cells_[slot * num_ranges + range];
+        const std::size_t rows = cell;
+        cell = position;
+        position += rows;
+      }
+    }
+    range_begin_[num_ranges] = position;
+
+    staging_.resize(position);
+    const auto scatter = [&](std::int64_t slot) {
+      std::size_t cursor[ExecContext::kMaxSlots];
+      std::copy_n(range_cells_.begin() + slot * num_ranges, num_ranges,
+                  cursor);
+      T* const staged = staging_.data();
+      for (const T& item : per_slot_[slot]) {
+        staged[cursor[range_of(item)]++] = item;
+      }
+    };
+    pool.Execute(slots, [&scatter](std::int64_t slot) { scatter(slot); });
+
+    offsets->resize(num_keys + 1);
+    out->resize(position);
+    const auto sort_range = [&](std::int64_t range) {
+      std::size_t* const off = offsets->data();
+      const std::size_t first_key = static_cast<std::size_t>(range) << shift;
+      const std::size_t last_key =
+          std::min(num_keys, first_key + (std::size_t{1} << shift));
+      const T* const begin = staging_.data() + range_begin_[range];
+      const T* const end = staging_.data() + range_begin_[range + 1];
+      std::fill(off + first_key, off + last_key, 0);
+      for (const T* item = begin; item != end; ++item) {
+        ++off[static_cast<std::size_t>(key(*item))];
+      }
+      std::size_t group_end = range_begin_[range];
+      for (std::size_t k = first_key; k < last_key; ++k) {
+        off[k] = group_end += off[k];
+      }
+      T* const rows = out->data();
+      for (const T* item = end; item != begin;) {
+        --item;
+        rows[--off[static_cast<std::size_t>(key(*item))]] = *item;
+      }
+    };
+    pool.Execute(num_ranges,
+                 [&sort_range](std::int64_t range) { sort_range(range); });
+    (*offsets)[num_keys] = position;
+  }
+
   std::vector<std::vector<T>> per_slot_;
+  // GroupParallel scratch, reused across calls.
+  std::vector<std::size_t> range_cells_;
+  std::vector<std::size_t> range_begin_;
+  std::vector<T> staging_;
 };
 
 /// Deterministic parallel sort: per-slot std::sort, then a stable merge

@@ -57,18 +57,24 @@ class DataflowRuntime {
 
   // Real shuffle: groups this superstep's emitted rows by destination
   // vertex into `messages` with a stable counting scatter (each group in
-  // emission order; scratch pooled across iterations), and charges the
-  // modeled sort's comparison cost plus cross-machine traffic (a row
-  // moves when the destination vertex's machine differs from the
-  // source's hash partition).
-  void Shuffle(const exec::SlotBuffers<MessageRow>& emitted,
+  // emission order; host-parallel on a multi-thread pool; scratch pooled
+  // across iterations), and charges the modeled sort's comparison cost
+  // plus cross-machine traffic (a row moves when the destination
+  // vertex's machine differs from the source's hash partition).
+  void Shuffle(exec::SlotBuffers<MessageRow>& emitted,
                std::vector<MessageRow>* messages,
                std::int64_t row_bytes = kRowBytes) {
     ChargeShuffle(emitted.TotalSize(), row_bytes);
     emitted.GroupInto(
-        static_cast<std::size_t>(graph_.num_vertices()),
+        ctx_.exec(), static_cast<std::size_t>(graph_.num_vertices()),
         [](const MessageRow& row) { return row.dst; }, &dst_offsets_,
         messages);
+  }
+
+  // The last Shuffle's groups as a CSR over its `messages`: vertex v's
+  // rows are [group_offsets()[v], group_offsets()[v + 1]).
+  const std::vector<std::size_t>& group_offsets() const {
+    return dst_offsets_;
   }
 
  private:
@@ -154,6 +160,7 @@ Status RunGraphxPregel(JobContext& ctx, const Graph& graph,
   std::vector<MessageRow> messages;
   exec::SlotBuffers<MessageRow> emitted;
   std::vector<char> next_active;
+  std::vector<std::size_t> group_counts;
   for (int iteration = 0; iteration < max_iterations; ++iteration) {
     bool any_active = false;
     for (char a : *active) {
@@ -201,25 +208,34 @@ Status RunGraphxPregel(JobContext& ctx, const Graph& graph,
     runtime.ChargeRows(graph.edges().size() * 2, row_op_factor);
     runtime.Shuffle(emitted, &messages, row_bytes);
 
-    // Reduce by key + join: produces a brand-new vertex table. The
-    // retained shuffle buffers hold the post-combine rows (one per
+    // Reduce by key + join: produces a brand-new vertex table, one
+    // vertex per loop index, each merging its group in shuffle order.
+    // The retained shuffle buffers hold the post-combine rows (one per
     // distinct destination; GraphX's aggregateMessages combines
     // map-side), not the raw message multiset.
-    next_active.assign(state->size(), 0);
-    std::size_t groups = 0;
-    std::size_t i = 0;
-    while (i < messages.size()) {
-      const VertexIndex v = messages[i].dst;
-      double combined = messages[i].value;
-      std::size_t j = i + 1;
-      while (j < messages.size() && messages[j].dst == v) {
-        combined = merge(combined, messages[j].value);
-        ++j;
-      }
-      if (apply(v, &(*state)[v], combined)) next_active[v] = 1;
-      ++groups;
-      i = j;
-    }
+    const std::vector<std::size_t>& offsets = runtime.group_offsets();
+    next_active.resize(state->size());
+    const std::size_t groups = exec::parallel_reduce(
+        ctx.exec(), 0, static_cast<std::int64_t>(state->size()),
+        std::size_t{0},
+        [&](const exec::Slice& slice, std::size_t& count) {
+          for (VertexIndex v = slice.begin; v < slice.end; ++v) {
+            std::size_t i = offsets[v];
+            const std::size_t end = offsets[v + 1];
+            bool changed = false;
+            if (i < end) {
+              double combined = messages[i].value;
+              for (++i; i < end; ++i) {
+                combined = merge(combined, messages[i].value);
+              }
+              changed = apply(v, &(*state)[v], combined);
+              ++count;
+            }
+            next_active[v] = changed ? 1 : 0;
+          }
+        },
+        [](std::size_t& into, std::size_t from) { into += from; },
+        &group_counts);
     runtime.ChargeRows(messages.size() + state->size());
     GA_RETURN_IF_ERROR(runtime.ChargeIterationBuffers(
         groups + state->size(), row_bytes));
@@ -381,10 +397,20 @@ Result<AlgorithmOutput> RunPageRank(JobContext& ctx, const Graph& graph,
 
     const double base = (1.0 - damping) / static_cast<double>(n) +
                         damping * dangling / static_cast<double>(n);
-    next.assign(n, base);
-    for (const MessageRow& row : messages) {
-      next[row.dst] += damping * row.value;
-    }
+    // Reduce by key, one vertex per loop index: each vertex sums its
+    // group in shuffle order, the same additions in the same order at
+    // any host thread count.
+    const std::vector<std::size_t>& offsets = runtime.group_offsets();
+    next.resize(n);
+    exec::parallel_for(ctx.exec(), 0, n, [&](const exec::Slice& slice) {
+      for (VertexIndex v = slice.begin; v < slice.end; ++v) {
+        double sum = base;
+        for (std::size_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+          sum += damping * messages[i].value;
+        }
+        next[v] = sum;
+      }
+    });
     runtime.ChargeRows(messages.size() + n);
     if (ctx.tracer().enabled()) {
       // Traced-only convergence probe: L1 delta between successive

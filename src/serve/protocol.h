@@ -17,6 +17,7 @@
 #ifndef GRAPHALYTICS_SERVE_PROTOCOL_H_
 #define GRAPHALYTICS_SERVE_PROTOCOL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -24,6 +25,12 @@
 #include "core/types.h"
 
 namespace ga::serve {
+
+/// Longest request line the server buffers, newline excluded. Requests
+/// are a few hundred bytes; a longer line gets an error response and the
+/// connection is closed, so a client that never sends '\n' cannot grow
+/// the daemon's memory outside the residency budget.
+inline constexpr std::size_t kMaxRequestLineBytes = 64 * 1024;
 
 enum class RequestOp { kRun, kCancel, kStats, kMetrics };
 

@@ -711,16 +711,30 @@ void Server::AcceptorLoop() {
 void Server::ConnectionLoop(Connection* connection) {
   std::string buffer;
   char chunk[4096];
-  for (;;) {
+  bool overlong = false;
+  while (!overlong) {
     const ssize_t n = ::read(connection->fd, chunk, sizeof(chunk));
     if (n <= 0) break;
     buffer.append(chunk, static_cast<std::size_t>(n));
+    std::size_t start = 0;
     std::size_t newline;
-    while ((newline = buffer.find('\n')) != std::string::npos) {
-      const std::string line = buffer.substr(0, newline);
-      buffer.erase(0, newline + 1);
+    while ((newline = buffer.find('\n', start)) != std::string::npos) {
+      if (newline - start > kMaxRequestLineBytes) break;
+      const std::string line = buffer.substr(start, newline - start);
+      start = newline + 1;
       if (!line.empty()) HandleLine(connection, line);
     }
+    buffer.erase(0, start);
+    // What is left is an unfinished line or a finished one over the cap.
+    overlong = buffer.size() > kMaxRequestLineBytes;
+  }
+  if (overlong) {
+    WriteResponse(connection,
+                  ErrorResponse("", Status::InvalidArgument(
+                                        "request line exceeds " +
+                                        std::to_string(kMaxRequestLineBytes) +
+                                        " bytes; closing the connection")));
+    ::shutdown(connection->fd, SHUT_RDWR);
   }
   // Disconnected client: cancel its in-flight requests so they free
   // their executor slots promptly instead of computing into the void.

@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <numeric>
 
+#include "core/exec/thread_pool.h"
+#include "datagen/graph500.h"
 #include "testing/graph_fixtures.h"
 
 namespace ga {
@@ -243,6 +247,47 @@ TEST(LccReferenceTest, DegreeOneVertexScoresZero) {
   ASSERT_TRUE(output.ok());
   EXPECT_DOUBLE_EQ(output->double_values[0], 0.0);
   EXPECT_DOUBLE_EQ(output->double_values[1], 0.0);
+}
+
+// ---------- Host-thread invariance ----------
+
+Graph SkewedGraph(Directedness directedness) {
+  datagen::Graph500Config config;
+  config.scale = 11;
+  config.num_edges = 16000;
+  config.directedness = directedness;
+  config.seed = 5;
+  auto graph = datagen::GenerateGraph500(config);
+  EXPECT_TRUE(graph.ok());
+  return std::move(graph).value();
+}
+
+// CDLP and LCC run on the runner's host pool; their outputs must be
+// byte-identical without a pool and at any thread count.
+TEST(ReferenceThreadInvarianceTest, CdlpAndLccAreByteIdentical) {
+  for (Directedness directedness :
+       {Directedness::kDirected, Directedness::kUndirected}) {
+    const Graph graph = SkewedGraph(directedness);
+    auto cdlp = reference::Cdlp(graph, 5);
+    auto lcc = reference::Lcc(graph);
+    ASSERT_TRUE(cdlp.ok());
+    ASSERT_TRUE(lcc.ok());
+    for (int threads : {1, 2, 8}) {
+      exec::ThreadPool pool(threads);
+      auto pooled_cdlp = reference::Cdlp(graph, 5, &pool);
+      auto pooled_lcc = reference::Lcc(graph, &pool);
+      ASSERT_TRUE(pooled_cdlp.ok());
+      ASSERT_TRUE(pooled_lcc.ok());
+      EXPECT_EQ(pooled_cdlp->int_values, cdlp->int_values)
+          << threads << " threads";
+      ASSERT_EQ(pooled_lcc->double_values.size(), lcc->double_values.size());
+      EXPECT_EQ(std::memcmp(pooled_lcc->double_values.data(),
+                            lcc->double_values.data(),
+                            lcc->double_values.size() * sizeof(double)),
+                0)
+          << threads << " threads";
+    }
+  }
 }
 
 // ---------- SSSP ----------

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <numeric>
 #include <string>
@@ -207,7 +208,8 @@ TEST(SlotBuffersTest, GroupIntoIsStableByKeyInSlotOrder) {
     std::vector<std::size_t> offsets;
     std::vector<Row> grouped = {{-1, -1}};  // stale contents are replaced
     buffers.GroupInto(
-        kKeys, [](const Row& row) { return row.key; }, &offsets, &grouped);
+        ctx, kKeys, [](const Row& row) { return row.key; }, &offsets,
+        &grouped);
     ASSERT_EQ(grouped.size(), expected.size()) << threads << " threads";
     for (std::size_t i = 0; i < expected.size(); ++i) {
       ASSERT_EQ(grouped[i].key, expected[i].key) << i;
@@ -217,11 +219,116 @@ TEST(SlotBuffersTest, GroupIntoIsStableByKeyInSlotOrder) {
   // No rows: an empty result, whatever `out` held before.
   SlotBuffers<Row> empty;
   empty.Reset(3);
+  ExecContext serial;
   std::vector<std::size_t> offsets;
   std::vector<Row> grouped = {{0, 0}};
   empty.GroupInto(
-      kKeys, [](const Row& row) { return row.key; }, &offsets, &grouped);
+      serial, kKeys, [](const Row& row) { return row.key; }, &offsets,
+      &grouped);
   EXPECT_TRUE(grouped.empty());
+}
+
+// The range-parallel GroupInto (pools of 2+ threads) must produce
+// exactly the serial grouping, rows and CSR offsets alike, on every
+// input shape: skew, empty slots, key counts on both sides of the
+// one-range cut-off, and no rows at all.
+TEST(SlotBuffersTest, ParallelGroupIntoEqualsSerial) {
+  struct Row {
+    std::int64_t key;
+    std::int64_t seq;
+  };
+  struct Case {
+    const char* name;
+    std::size_t num_keys;
+    int num_slots;
+    std::int64_t rows;
+    std::function<std::int64_t(std::int64_t)> key_of;
+    std::function<bool(int)> slot_empty;
+  };
+  std::uint64_t state = 99;
+  std::vector<std::int64_t> random_keys(40000);
+  for (std::int64_t& key : random_keys) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    key = static_cast<std::int64_t>((state >> 33) % 100003);
+  }
+  const auto never = [](int) { return false; };
+  const std::vector<Case> cases = {
+      {"random keys", 100003, 32, 40000,
+       [&](std::int64_t i) { return random_keys[i]; }, never},
+      {"all rows on one key", 5000, 32, 20000,
+       [](std::int64_t) { return std::int64_t{4321}; }, never},
+      {"empty slots", 3000, 32, 20000,
+       [](std::int64_t i) { return (i * 7919) % 3000; },
+       [](int slot) { return slot % 3 != 1; }},
+      {"fewer than 64 keys", 50, 32, 20000,
+       [](std::int64_t i) { return (i * 31) % 50; }, never},
+      {"one key", 1, 32, 5000, [](std::int64_t) { return std::int64_t{0}; },
+       never},
+      {"zero rows", 7000, 32, 0, [](std::int64_t i) { return i; }, never},
+  };
+  const auto key_of_row = [](const Row& row) { return row.key; };
+  for (const Case& c : cases) {
+    SlotBuffers<Row> buffers;
+    buffers.Reset(c.num_slots);
+    for (std::int64_t i = 0; i < c.rows; ++i) {
+      const Slice slice = [&] {
+        for (int slot = 0;; ++slot) {
+          const Slice s = ExecContext::SliceOf(0, c.rows, slot, c.num_slots);
+          if (i < s.end) return s;
+        }
+      }();
+      if (!c.slot_empty(slice.slot)) {
+        buffers.buf(slice.slot).push_back({c.key_of(i), i});
+      }
+    }
+    // The expected grouping, built independently of GroupInto.
+    std::vector<Row> expected;
+    buffers.Drain([&](const Row& row) { expected.push_back(row); });
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const Row& a, const Row& b) { return a.key < b.key; });
+
+    ExecContext serial;
+    std::vector<std::size_t> serial_offsets;
+    std::vector<Row> serial_rows;
+    buffers.GroupInto(serial, c.num_keys, key_of_row, &serial_offsets,
+                      &serial_rows);
+    ASSERT_EQ(serial_rows.size(), expected.size()) << c.name;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(serial_rows[i].seq, expected[i].seq) << c.name << " row " << i;
+    }
+    // A valid CSR: group k is serial_rows[offsets[k], offsets[k + 1]).
+    ASSERT_EQ(serial_offsets.size(), c.num_keys + 1) << c.name;
+    EXPECT_EQ(serial_offsets.front(), 0u) << c.name;
+    EXPECT_EQ(serial_offsets.back(), serial_rows.size()) << c.name;
+    for (std::size_t k = 0; k < c.num_keys; ++k) {
+      ASSERT_LE(serial_offsets[k], serial_offsets[k + 1]) << c.name;
+      for (std::size_t i = serial_offsets[k]; i < serial_offsets[k + 1];
+           ++i) {
+        ASSERT_EQ(serial_rows[i].key, static_cast<std::int64_t>(k))
+            << c.name;
+      }
+    }
+
+    for (int threads : {1, 2, 4, 8}) {
+      ThreadPool pool(threads);
+      ExecContext ctx(&pool);
+      std::vector<std::size_t> offsets = {7, 7, 7};  // stale contents
+      std::vector<Row> rows = {{-1, -1}};
+      // Twice: the second call reuses the pooled scratch.
+      for (int call = 0; call < 2; ++call) {
+        buffers.GroupInto(ctx, c.num_keys, key_of_row, &offsets, &rows);
+        EXPECT_EQ(offsets, serial_offsets)
+            << c.name << " at " << threads << " threads";
+        ASSERT_EQ(rows.size(), serial_rows.size()) << c.name;
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+          ASSERT_EQ(rows[i].key, serial_rows[i].key)
+              << c.name << " at " << threads << " threads, row " << i;
+          ASSERT_EQ(rows[i].seq, serial_rows[i].seq)
+              << c.name << " at " << threads << " threads, row " << i;
+        }
+      }
+    }
+  }
 }
 
 // Equal keys must keep the same (deterministic) permutation at any thread

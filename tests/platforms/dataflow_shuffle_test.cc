@@ -1,16 +1,19 @@
 // Output contract of the dataflow engine's shuffle. The shuffle groups
 // each superstep's message rows by destination with a stable counting
-// scatter. BFS, SSSP and WCC merge a group with `min` and CDLP counts its
-// votes, so their outputs do not depend on the order rows take within a
-// group. The golden FNV-1a fingerprints below were recorded when the
-// shuffle was still a comparison sort; any shuffle must reproduce them
-// byte for byte. PageRank sums each group in emission order, so its
-// output is pinned by validation and host-thread invariance instead.
+// scatter, serial on one host thread and range-parallel on more. BFS,
+// SSSP and WCC merge a group with `min` and CDLP counts its votes, so
+// their outputs do not depend on the order rows take within a group;
+// their golden FNV-1a fingerprints were recorded when the shuffle was
+// still a comparison sort. PageRank sums each group in emission order,
+// so its fingerprints pin that order: they were recorded with the serial
+// counting scatter and must not move. Every golden is checked without a
+// pool and at 1, 2 and 8 host threads, which covers both grouping paths.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 
 #include "algo/output.h"
@@ -91,7 +94,8 @@ struct Golden {
   const char* fnv;
 };
 
-// Recorded with the comparison-sort shuffle.
+// BFS/SSSP/WCC/CDLP recorded with the comparison-sort shuffle, PageRank
+// with the serial counting scatter.
 constexpr Golden kGolden[] = {
     {"directed", Algorithm::kBfs, "65885781a7d6bdc0"},
     {"directed", Algorithm::kWcc, "cef576d2383bf01d"},
@@ -103,6 +107,9 @@ constexpr Golden kGolden[] = {
     {"weighted", Algorithm::kSssp, "383f205fccb1fa35"},
     {"weighted", Algorithm::kWcc, "378cc365aef8a95b"},
     {"weighted", Algorithm::kCdlp, "7ae09cab1890e5e2"},
+    {"directed", Algorithm::kPageRank, "814b4578e444c4ab"},
+    {"undirected", Algorithm::kPageRank, "69f00951f089a595"},
+    {"weighted", Algorithm::kPageRank, "e983912cf2a0e2e0"},
 };
 
 const Graph& GraphNamed(const std::string& name) {
@@ -111,12 +118,19 @@ const Graph& GraphNamed(const std::string& name) {
   return WeightedGraph();
 }
 
-TEST(DataflowShuffleTest, OrderInsensitiveOutputsMatchGoldenFingerprints) {
-  for (const Golden& golden : kGolden) {
-    const Graph& graph = GraphNamed(golden.graph);
-    const RunResult run = RunDataflow(graph, golden.algorithm);
-    EXPECT_EQ(Fingerprint(graph, run.output), golden.fnv)
-        << golden.graph << "/" << AlgorithmName(golden.algorithm);
+TEST(DataflowShuffleTest, OutputsMatchGoldenFingerprintsAtAnyThreadCount) {
+  for (int host_threads : {0, 1, 2, 8}) {
+    std::unique_ptr<exec::ThreadPool> pool;
+    if (host_threads > 0) {
+      pool = std::make_unique<exec::ThreadPool>(host_threads);
+    }
+    for (const Golden& golden : kGolden) {
+      const Graph& graph = GraphNamed(golden.graph);
+      const RunResult run = RunDataflow(graph, golden.algorithm, pool.get());
+      EXPECT_EQ(Fingerprint(graph, run.output), golden.fnv)
+          << golden.graph << "/" << AlgorithmName(golden.algorithm) << " at "
+          << host_threads << " host threads";
+    }
   }
 }
 

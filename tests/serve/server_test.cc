@@ -1,12 +1,19 @@
 // End-to-end tests for the ga::serve daemon core: in-process submission
-// through the real admission/residency/execution path (no socket — the
-// protocol layer has its own tests; the CLI smoke covers the listener).
+// through the real admission/residency/execution path. The protocol layer
+// has its own tests and the CLI smoke covers the listener; the socket
+// tests here cover only the connection reader's limits.
 #include "serve/server.h"
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
+#include <unistd.h>
+
 #include <csignal>
 #include <chrono>
+#include <cstring>
 #include <condition_variable>
 #include <cstdio>
 #include <mutex>
@@ -423,6 +430,51 @@ TEST(ServerTest, SigtermTriggersGracefulDrain) {
   g_signal_server = nullptr;
   EXPECT_TRUE(server.drain_requested());
   EXPECT_EQ(collector.WaitFor("s1").status, "completed");
+}
+
+// A client that never sends '\n' must not grow the daemon's memory
+// without bound: a request line longer than kMaxRequestLineBytes gets an
+// error response, and the server closes the connection.
+TEST(ServerSocketTest, OverlongRequestLineIsRejectedAndClosed) {
+  ServeOptions options = BaseOptions();
+  options.socket_path = ::testing::TempDir() + "ga_line_cap_" +
+                        std::to_string(::getpid()) + ".sock";
+  Server server(options);
+  ASSERT_TRUE(server.Start().ok());
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, options.socket_path.c_str(),
+               sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  // A server that keeps buffering never answers; the receive timeout
+  // turns that into a failure instead of a hang.
+  timeval timeout{};
+  timeout.tv_sec = 10;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  const std::string payload(kMaxRequestLineBytes + 1, 'x');
+  std::size_t sent = 0;
+  while (sent < payload.size()) {
+    const ssize_t n = ::send(fd, payload.data() + sent, payload.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<std::size_t>(n);
+  }
+  std::string reply;
+  char chunk[4096];
+  ssize_t n = 0;
+  while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
+    reply.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  EXPECT_TRUE(server.Drain().ok());
+  EXPECT_EQ(n, 0) << "the connection was not closed";
+  EXPECT_NE(reply.find("\"status\":\"error\""), std::string::npos) << reply;
+  EXPECT_NE(reply.find("exceeds"), std::string::npos) << reply;
 }
 
 }  // namespace
